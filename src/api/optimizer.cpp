@@ -300,8 +300,7 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
         profile_db->on_disk.store(true);
       }
     }
-    result.latency_us =
-        Executor(g, config).schedule_latency_us(result.schedule);
+    result.latency_us = cost.executor().schedule_latency_us(result.schedule);
     std::lock_guard<std::mutex> lock(mu_);
     total_measurements_ += result.new_measurements;
     cache_.put(key, CacheEntry{result.schedule, result.stats,

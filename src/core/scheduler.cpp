@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sim/kernel_model.hpp"
 #include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 
@@ -695,7 +694,7 @@ PruneFloor make_prune_floor(const BlockDag& dag, const CostModel& cost,
   PruneFloor floor;
   for (int i = 0; i < dag.size(); ++i) {
     const OpId id = dag.op_of(i);
-    const KernelDesc k = kernel_for_op(g, id, cost.executor().kernel_params());
+    const KernelDesc& k = cost.executor().kernel(id);
     if (k.flops > 0 && k.efficiency > 0) {
       floor.cost_c[i] = noise * (k.flops / k.efficiency) / (peak * eff_c);
     }

@@ -796,6 +796,9 @@ void Daemon::executor_loop(int worker) {
         if (it == pending_.end()) continue;  // refused after formation: never
         pending = std::move(it->second);
         pending_.erase(it);
+        // Counted before the answer is written (and before a drain can
+        // wake), so a stats read after the client has its answer sees it.
+        completed_.fetch_add(1);
         if (pending_.empty()) drain_cv_.notify_all();
       }
       WireResponse response;
@@ -810,7 +813,6 @@ void Daemon::executor_loop(int worker) {
       response.service_us = batch.record.service_us;
       response.wall_latency_us = clock_.now_us() - pending.wall_admitted_us;
       write_response(pending.conn, format_response(response));
-      completed_.fetch_add(1);
     }
   }
 }
@@ -824,9 +826,9 @@ void Daemon::answer_shed(std::vector<serve::ShedRecord> sheds) {
       if (it == pending_.end()) continue;
       pending = std::move(it->second);
       pending_.erase(it);
+      shed_.fetch_add(1);  // like completed_: counted before the answer
       if (pending_.empty()) drain_cv_.notify_all();
     }
-    shed_.fetch_add(1);
     if (adaptive_) adaptive_->observe_outcome(record.model, false);
     write_response(pending.conn,
                    format_response(error_response(pending.client_id, "shed")));

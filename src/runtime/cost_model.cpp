@@ -227,14 +227,25 @@ std::uint64_t CostModel::environment_fingerprint() const {
 
 std::uint64_t CostModel::canonical_stage_key(const Stage& stage) const {
   std::uint64_t h = env_fp_ != 0 ? env_fp_ : environment_fingerprint();
-  for (const KernelStream& stream : executor_.stage_streams(stage)) {
-    h = hash_combine(h, 0x73ull);  // stream separator
-    for (const KernelDesc& k : stream) {
-      h = hash_double(h, k.flops);
-      h = hash_double(h, k.bytes);
-      h = hash_double(h, k.warps);
-      h = hash_double(h, k.efficiency);
+  auto hash_kernel = [&h](const KernelDesc& k) {
+    h = hash_double(h, k.flops);
+    h = hash_double(h, k.bytes);
+    h = hash_double(h, k.warps);
+    h = hash_double(h, k.efficiency);
+  };
+  // The same values in the same order as hashing stage_streams(stage), so
+  // keys saved in profile databases stay valid; concurrent stages read the
+  // executor's kernel table instead of copying it.
+  if (stage.strategy == StageStrategy::kMerge) {
+    for (const KernelStream& stream : executor_.stage_streams(stage)) {
+      h = hash_combine(h, 0x73ull);  // stream separator
+      for (const KernelDesc& k : stream) hash_kernel(k);
     }
+    return h;
+  }
+  for (const Group& grp : stage.groups) {
+    h = hash_combine(h, 0x73ull);  // stream separator
+    for (OpId id : grp.ops) hash_kernel(executor_.kernel(id));
   }
   return h;
 }

@@ -2,7 +2,10 @@
 // CostModel: the profiler that Algorithm 1 consults. IOS is a profile-based
 // scheduler — GENERATE_STAGE "directly measures the latencies of both
 // parallelization strategies on the hardware". Here the hardware is the
-// execution simulator; measurements are cached by the canonical stage
+// execution simulator: a cache miss costs one Executor::stage_latency_us
+// call, a makespan-only simulation read from the executor's per-op kernel
+// table that builds no traces and allocates nothing once its per-thread
+// scratch has grown. Measurements are cached by the canonical stage
 // fingerprint, and the model keeps account of how much (simulated) device
 // time the profiling consumed, which is what the paper reports as
 // optimization cost.
@@ -14,6 +17,7 @@
 // Measurements stay deterministic regardless of thread count: the set of
 // distinct stages measured does not depend on the order threads request
 // them, and each stage's simulated latency is a pure function of the stage.
+// Misses simulate concurrently: the simulator's scratch is per thread.
 //
 // Persistence: save_profile/load_profile move the cache contents to/from a
 // ProfileDb keyed by stage fingerprint under this model's profile_context()
@@ -171,7 +175,9 @@ class CostModel {
   /// (per-kernel flops/bytes/warps/efficiency and the stream boundaries —
   /// no operator ids or names). The simulated latency is a pure function of
   /// exactly this, so equal keys imply equal latencies across models,
-  /// blocks, and batch sizes.
+  /// blocks, and batch sizes. Concurrent stages are hashed from the
+  /// executor's kernel table without building their streams; the values
+  /// and order are those of stage_streams(), so persisted keys stay valid.
   std::uint64_t canonical_stage_key(const Stage& stage) const;
 
   /// Exports the *entire* attached canonical cache into `db` under the

@@ -4,6 +4,17 @@
 
 namespace ios {
 
+Executor::Executor(const Graph& g, ExecConfig cfg)
+    : graph_(g), engine_(cfg.device), kparams_(cfg.kernel_params) {
+  kernels_.resize(static_cast<std::size_t>(g.num_ops()));
+  for (const Op& op : g.ops()) {
+    if (op.schedulable()) {
+      kernels_[static_cast<std::size_t>(op.id)] =
+          kernel_for_op(g, op.id, kparams_);
+    }
+  }
+}
+
 KernelStream merged_stage_stream(const Graph& g, const MergeInfo& info,
                                  const KernelModelParams& params) {
   KernelStream stream;
@@ -75,23 +86,37 @@ std::vector<KernelStream> Executor::stage_streams(const Stage& stage) const {
   for (const Group& grp : stage.groups) {
     KernelStream stream;
     stream.reserve(grp.ops.size());
-    for (OpId id : grp.ops) {
-      stream.push_back(kernel_for_op(graph_, id, kparams_));
-    }
+    for (OpId id : grp.ops) stream.push_back(kernel(id));
     streams.push_back(std::move(stream));
   }
   return streams;
 }
 
 double Executor::stage_latency_us(const Stage& stage) const {
-  const auto streams = stage_streams(stage);
-  double latency = engine_.run(streams).makespan_us;
-  if (streams.size() > 1) {
-    const DeviceSpec& dev = engine_.device();
-    latency += dev.stage_sync_us +
-               dev.stream_sync_us * static_cast<double>(streams.size() - 1);
+  double latency = 0;
+  std::size_t num_streams = 1;
+  if (stage.strategy == StageStrategy::kMerge) {
+    // Rare on the search path: build the merged stream itself.
+    latency = engine_.makespan_us(stage_streams(stage));
+  } else {
+    // One stream per group, read straight from the kernel table.
+    thread_local StreamRefs refs;
+    refs.clear();
+    for (const Group& grp : stage.groups) {
+      for (OpId id : grp.ops) refs.push(kernel(id));
+      refs.end_stream();
+    }
+    latency = engine_.makespan_us(refs);
+    num_streams = stage.groups.size();
   }
-  return latency;
+  return latency + sync_us(num_streams);
+}
+
+double Executor::sync_us(std::size_t num_streams) const {
+  if (num_streams <= 1) return 0;
+  const DeviceSpec& dev = engine_.device();
+  return dev.stage_sync_us +
+         dev.stream_sync_us * static_cast<double>(num_streams - 1);
 }
 
 double Executor::schedule_latency_us(const Schedule& q) const {
@@ -115,14 +140,12 @@ SimResult Executor::run_schedule(const Schedule& q) const {
       e.t_us += offset;
       out.warp_trace.push_back(e);
     }
-    offset += r.makespan_us;
     if (streams.size() > 1) {
       // Synchronization gap: no kernels resident.
-      out.warp_trace.push_back({offset, 0});
-      const DeviceSpec& dev = engine_.device();
-      offset += dev.stage_sync_us +
-                dev.stream_sync_us * static_cast<double>(streams.size() - 1);
+      out.warp_trace.push_back({offset + r.makespan_us, 0});
     }
+    // Summed like schedule_latency_us(), so the two agree bit for bit.
+    offset += r.makespan_us + sync_us(streams.size());
   }
   out.makespan_us = offset;
   return out;

@@ -5,6 +5,13 @@
 // stacked convolution followed by channel splits; stages are separated by a
 // synchronization whose cost is only paid when the stage actually used
 // multiple streams.
+//
+// The kernel of every schedulable op is built once, at construction, into a
+// per-op table; the graph must not change while an Executor refers to it.
+// stage_latency_us() and schedule_latency_us() simulate concurrent stages
+// straight from table pointers through Engine::makespan_us (no traces, no
+// copies); run_schedule() and stage_streams() build the full KernelStreams
+// and traces for inspection. Both paths report bit-identical latencies.
 
 #include "graph/graph.hpp"
 #include "schedule/merge.hpp"
@@ -21,12 +28,17 @@ struct ExecConfig {
 
 class Executor {
  public:
-  Executor(const Graph& g, ExecConfig cfg)
-      : graph_(g), engine_(cfg.device), kparams_(cfg.kernel_params) {}
+  Executor(const Graph& g, ExecConfig cfg);
 
   const Graph& graph() const { return graph_; }
   const DeviceSpec& device() const { return engine_.device(); }
   const KernelModelParams& kernel_params() const { return kparams_; }
+
+  /// The simulated kernel of schedulable op `id` (kernel_for_op, built once
+  /// at construction).
+  const KernelDesc& kernel(OpId id) const {
+    return kernels_[static_cast<std::size_t>(id)];
+  }
 
   /// Latency of one stage in microseconds, including the closing
   /// synchronization when the stage ran more than one stream.
@@ -43,9 +55,16 @@ class Executor {
   std::vector<KernelStream> stage_streams(const Stage& stage) const;
 
  private:
+  /// The closing synchronization of a stage that ran `num_streams` streams
+  /// (0 for a single stream).
+  double sync_us(std::size_t num_streams) const;
+
   const Graph& graph_;
   Engine engine_;
   KernelModelParams kparams_;
+  /// kernel_for_op of every schedulable op, indexed by OpId (input ops keep
+  /// a default entry and are never looked up).
+  std::vector<KernelDesc> kernels_;
 };
 
 /// Kernel for a merged convolution stage: one stacked conv reading the

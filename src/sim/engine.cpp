@@ -29,12 +29,33 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTimeEps = 1e-9;  // microsecond-scale epsilon
 
 struct ActiveKernel {
+  const KernelDesc* kernel = nullptr;
   int stream = 0;
-  int index = 0;            // position within its stream
+  int pos = 0;              // index into StreamRefs::kernels
   double start_us = 0;      // activation time
   double remaining = 1.0;   // fraction of the kernel's work left
   double rate = 0;          // fraction per microsecond (recomputed per epoch)
 };
+
+/// Event-loop state, one per thread and reused by every simulation on it,
+/// so the search path allocates nothing once the vectors have grown to the
+/// largest stage.
+struct LoopScratch {
+  std::vector<int> next_pos;
+  std::vector<double> next_launch;
+  std::vector<ActiveKernel> active;
+};
+
+LoopScratch& loop_scratch() {
+  thread_local LoopScratch scratch;
+  return scratch;
+}
+
+/// Per-thread refs for the overloads that take the kernels by value.
+StreamRefs& refs_scratch() {
+  thread_local StreamRefs refs;
+  return refs;
+}
 
 double saturation(double warps, double slots, double frac) {
   if (warps <= 0) return 0;
@@ -43,55 +64,84 @@ double saturation(double warps, double slots, double frac) {
 
 }  // namespace
 
-double Engine::kernel_latency_us(const KernelDesc& k) const {
-  std::vector<KernelStream> streams(1);
-  streams[0].push_back(k);
-  return run(streams).makespan_us;
+void StreamRefs::assign(const std::vector<KernelStream>& streams) {
+  clear();
+  for (const KernelStream& stream : streams) {
+    for (const KernelDesc& k : stream) push(k);
+    end_stream();
+  }
 }
 
 SimResult Engine::run(const std::vector<KernelStream>& streams) const {
+  StreamRefs& refs = refs_scratch();
+  refs.assign(streams);
   SimResult result;
+  result.makespan_us = simulate(refs, &result);
+  return result;
+}
 
+double Engine::makespan_us(const std::vector<KernelStream>& streams) const {
+  StreamRefs& refs = refs_scratch();
+  refs.assign(streams);
+  return simulate(refs, nullptr);
+}
+
+double Engine::makespan_us(const StreamRefs& streams) const {
+  return simulate(streams, nullptr);
+}
+
+double Engine::kernel_latency_us(const KernelDesc& k) const {
+  StreamRefs& refs = refs_scratch();
+  refs.clear();
+  refs.push(k);
+  refs.end_stream();
+  return simulate(refs, nullptr);
+}
+
+double Engine::simulate(const StreamRefs& streams, SimResult* record) const {
   const double slots = spec_.total_warp_slots();
   const double peak = spec_.peak_flops_per_us();
   const double bw = spec_.bytes_per_us();
 
-  const int num_streams = static_cast<int>(streams.size());
-  // next_launch[s]: time at which stream s's next kernel becomes active,
-  // or kInf if the stream is exhausted / its next kernel not yet scheduled.
-  std::vector<int> next_index(static_cast<std::size_t>(num_streams), 0);
-  std::vector<double> next_launch(static_cast<std::size_t>(num_streams), kInf);
-  for (int s = 0; s < num_streams; ++s) {
-    if (!streams[static_cast<std::size_t>(s)].empty()) {
-      next_launch[static_cast<std::size_t>(s)] = spec_.kernel_launch_us;
+  const int num_streams = streams.num_streams();
+  const std::size_t n = static_cast<std::size_t>(num_streams);
+  LoopScratch& scratch = loop_scratch();
+  // next_pos[s]: stream s's next kernel (an index into streams.kernels).
+  // next_launch[s]: time at which that kernel becomes active, or kInf if
+  // the stream is exhausted / its next kernel not yet scheduled.
+  std::vector<int>& next_pos = scratch.next_pos;
+  std::vector<double>& next_launch = scratch.next_launch;
+  std::vector<ActiveKernel>& active = scratch.active;
+  next_pos.assign(n, 0);
+  next_launch.assign(n, kInf);
+  active.clear();
+  for (std::size_t s = 0; s < n; ++s) {
+    next_pos[s] = s == 0 ? 0 : streams.ends[s - 1];
+    if (next_pos[s] < streams.ends[s]) {
+      next_launch[s] = spec_.kernel_launch_us;
     }
   }
 
-  std::vector<ActiveKernel> active;
   double now = 0;
 
-  auto kernel_of = [&](const ActiveKernel& a) -> const KernelDesc& {
-    return streams[static_cast<std::size_t>(a.stream)]
-                  [static_cast<std::size_t>(a.index)];
-  };
-
   auto record_warp_segment = [&](double t) {
+    if (record == nullptr) return;
     double warps = 0;
     for (const ActiveKernel& a : active) {
-      warps += kernel_of(a).warps;
+      warps += a.kernel->warps;
     }
     warps = std::min(warps, slots);
-    if (!result.warp_trace.empty() &&
-        result.warp_trace.back().active_warps == warps) {
+    if (!record->warp_trace.empty() &&
+        record->warp_trace.back().active_warps == warps) {
       return;  // merge identical adjacent segments
     }
-    result.warp_trace.push_back({t, warps});
+    record->warp_trace.push_back({t, warps});
   };
 
   auto recompute_rates = [&]() {
     // Proportional warp allocation under the slot cap.
     double demand = 0;
-    for (const ActiveKernel& a : active) demand += kernel_of(a).warps;
+    for (const ActiveKernel& a : active) demand += a.kernel->warps;
     const double scale = demand > slots ? slots / demand : 1.0;
     const double total_alloc = std::min(demand, slots);
     const double eff_c =
@@ -106,7 +156,7 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
         1.0 + spec_.mem_contention_coef * (n_active - 1.0) * occupancy *
                   occupancy;
     for (ActiveKernel& a : active) {
-      const KernelDesc& k = kernel_of(a);
+      const KernelDesc& k = *a.kernel;
       const double alloc = k.warps * scale;
       const double share = total_alloc > 0 ? alloc / total_alloc : 0;
       double rate = kInf;
@@ -120,11 +170,27 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
     }
   };
 
-  int total_kernels = 0;
-  for (const KernelStream& s : streams) {
-    total_kernels += static_cast<int>(s.size());
-  }
+  const int total_kernels = static_cast<int>(streams.kernels.size());
   int completed = 0;
+
+  // Retires active[i] at `now`: records it, schedules its stream's next
+  // launch and swap-removes it (the active-set order the rate passes sum
+  // in).
+  auto retire = [&](std::size_t i) {
+    const ActiveKernel& a = active[i];
+    if (record != nullptr) {
+      record->timeline.push_back(
+          {a.kernel->op, a.kernel->name, a.stream, a.start_us, now});
+    }
+    const std::size_t si = static_cast<std::size_t>(a.stream);
+    next_pos[si] = a.pos + 1;
+    if (next_pos[si] < streams.ends[si]) {
+      next_launch[si] = now + spec_.kernel_launch_us;
+    }
+    ++completed;
+    active[i] = active.back();
+    active.pop_back();
+  };
 
   while (completed < total_kernels) {
     // Next event: earliest kernel completion or stream launch.
@@ -135,8 +201,8 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
       }
       next_event = std::min(next_event, now + a.remaining / a.rate);
     }
-    for (int s = 0; s < num_streams; ++s) {
-      next_event = std::min(next_event, next_launch[static_cast<std::size_t>(s)]);
+    for (std::size_t s = 0; s < n; ++s) {
+      next_event = std::min(next_event, next_launch[s]);
     }
     assert(next_event < kInf && next_event >= now - kTimeEps);
     next_event = std::max(next_event, now);
@@ -151,19 +217,9 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
     // Retire finished kernels and schedule their stream's next launch.
     bool changed = false;
     for (std::size_t i = 0; i < active.size();) {
-      ActiveKernel& a = active[i];
+      const ActiveKernel& a = active[i];
       if (a.remaining <= a.rate * kTimeEps + 1e-12) {
-        const KernelDesc& k = kernel_of(a);
-        result.timeline.push_back({k.op, k.name, a.stream, a.start_us, now});
-        const std::size_t si = static_cast<std::size_t>(a.stream);
-        next_index[si] = a.index + 1;
-        if (next_index[si] <
-            static_cast<int>(streams[si].size())) {
-          next_launch[si] = now + spec_.kernel_launch_us;
-        }
-        ++completed;
-        active[i] = active.back();
-        active.pop_back();
+        retire(i);
         changed = true;
       } else {
         ++i;
@@ -171,19 +227,19 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
     }
 
     // Activate newly launched kernels.
-    for (int s = 0; s < num_streams; ++s) {
-      const std::size_t si = static_cast<std::size_t>(s);
-      if (next_launch[si] <= now + kTimeEps) {
-        const KernelDesc& k = streams[si][static_cast<std::size_t>(next_index[si])];
+    for (std::size_t s = 0; s < n; ++s) {
+      if (next_launch[s] <= now + kTimeEps) {
         ActiveKernel a;
-        a.stream = s;
-        a.index = next_index[si];
+        a.kernel = streams.kernels[static_cast<std::size_t>(next_pos[s])];
+        a.stream = static_cast<int>(s);
+        a.pos = next_pos[s];
         a.start_us = now;
         // Zero-work kernels (pure bookkeeping) complete instantly; give them
         // an epsilon of work so the loop retires them on the next iteration.
-        a.remaining = (k.flops <= 0 && k.bytes <= 0) ? 0.0 : 1.0;
+        a.remaining =
+            (a.kernel->flops <= 0 && a.kernel->bytes <= 0) ? 0.0 : 1.0;
         active.push_back(a);
-        next_launch[si] = kInf;
+        next_launch[s] = kInf;
         changed = true;
       }
     }
@@ -194,17 +250,7 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
       // Instantly retire zero-work kernels activated above.
       for (std::size_t i = 0; i < active.size();) {
         if (active[i].remaining <= 0) {
-          const ActiveKernel& a = active[i];
-          const KernelDesc& k = kernel_of(a);
-          result.timeline.push_back({k.op, k.name, a.stream, a.start_us, now});
-          const std::size_t si = static_cast<std::size_t>(a.stream);
-          next_index[si] = a.index + 1;
-          if (next_index[si] < static_cast<int>(streams[si].size())) {
-            next_launch[si] = now + spec_.kernel_launch_us;
-          }
-          ++completed;
-          active[i] = active.back();
-          active.pop_back();
+          retire(i);
         } else {
           ++i;
         }
@@ -214,8 +260,7 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
     }
   }
 
-  result.makespan_us = now;
-  return result;
+  return now;
 }
 
 }  // namespace ios

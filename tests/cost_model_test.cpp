@@ -1,16 +1,73 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <thread>
 #include <vector>
 
+#include "core/scheduler.hpp"
 #include "models/models.hpp"
 #include "runtime/cost_model.hpp"
 #include "schedule/baselines.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace ios {
 namespace {
 
 ExecConfig v100_config() { return ExecConfig{tesla_v100(), {}}; }
+
+/// Seeded random stages of `g`: concurrent stages over random op subsets of
+/// one block, grouped either into weakly connected components or at random,
+/// and merge stages over mergeable sibling sets.
+std::vector<Stage> random_stages(const Graph& g, std::uint64_t seed,
+                                 int count) {
+  std::vector<std::vector<OpId>> mergeable;
+  for (const Op& op : g.ops()) {
+    const auto succs = g.succs(op.id);
+    for (std::size_t i = 0; i + 1 < succs.size(); ++i) {
+      const OpId pair[] = {succs[i], succs[i + 1]};
+      if (analyze_merge(g, pair)) mergeable.push_back({pair[0], pair[1]});
+    }
+    if (succs.size() > 2 && analyze_merge(g, succs)) {
+      mergeable.emplace_back(succs.begin(), succs.end());
+    }
+  }
+  const std::vector<std::vector<OpId>> blocks = g.blocks();
+  Rng rng(seed);
+  std::vector<Stage> stages;
+  while (static_cast<int>(stages.size()) < count) {
+    Stage stage;
+    if (!mergeable.empty() && rng.uniform_int(8) == 0) {
+      stage.strategy = StageStrategy::kMerge;
+      stage.groups.push_back(
+          Group{mergeable[static_cast<std::size_t>(
+              rng.uniform_int(static_cast<int>(mergeable.size())))]});
+      stages.push_back(std::move(stage));
+      continue;
+    }
+    const auto& block = blocks[static_cast<std::size_t>(
+        rng.uniform_int(static_cast<int>(blocks.size())))];
+    if (block.empty()) continue;
+    std::vector<OpId> ops;
+    const double keep = 0.1 + 0.5 * rng.uniform();
+    for (OpId id : block) {
+      if (ops.size() < 12 && rng.bernoulli(keep)) ops.push_back(id);
+    }
+    if (ops.empty()) ops.push_back(block.front());
+    if (rng.bernoulli(0.5)) {
+      stage.groups = partition_groups(g, ops);
+    } else {
+      stage.groups.resize(static_cast<std::size_t>(1 + rng.uniform_int(4)));
+      for (OpId id : ops) {
+        stage.groups[static_cast<std::size_t>(rng.uniform_int(
+                         static_cast<int>(stage.groups.size())))]
+            .ops.push_back(id);
+      }
+    }
+    stages.push_back(std::move(stage));
+  }
+  return stages;
+}
 
 TEST(CostModel, CachesRepeatedMeasurements) {
   const Graph g = models::fig5_graph(1);
@@ -152,6 +209,81 @@ TEST(CostModel, GenerateStageFallsBackToConcurrent) {
   EXPECT_EQ(cost.generate_stage(ops).strategy, StageStrategy::kConcurrent);
 }
 
+// The search path (a makespan-only simulation from the executor's kernel
+// table) must report exactly what the traced path reports.
+TEST(Executor, StageLatencyMatchesTracedRunOnEveryModel) {
+  for (const std::string& name : models::model_names()) {
+    const Graph g = models::build_model(name, 1);
+    const Executor ex(g, v100_config());
+    const Engine engine(ex.device());
+    const DeviceSpec& dev = ex.device();
+    int merges = 0;
+    for (const Stage& stage : random_stages(g, 14, 300)) {
+      const std::vector<KernelStream> streams = ex.stage_streams(stage);
+      double expected = engine.run(streams).makespan_us;
+      if (streams.size() > 1) {
+        expected +=
+            dev.stage_sync_us +
+            dev.stream_sync_us * static_cast<double>(streams.size() - 1);
+      }
+      ASSERT_EQ(ex.stage_latency_us(stage), expected) << name;
+      merges += stage.strategy == StageStrategy::kMerge;
+    }
+    if (name == "inception_v3" || name == "squeezenet") {
+      EXPECT_GT(merges, 0) << name;  // the merge path is covered too
+    }
+  }
+}
+
+TEST(Executor, ScheduleLatencyMatchesRunScheduleOnEveryModel) {
+  for (const std::string& name : models::model_names()) {
+    const Graph g = models::build_model(name, 1);
+    CostModel cost(g, v100_config());
+    SchedulerOptions options;
+    options.prune = PruneMode::kBeam;  // any IOS schedule will do; keep it fast
+    options.beam_width = 2;
+    const Executor& ex = cost.executor();
+    for (const Schedule& q : {IosScheduler(cost, options).schedule_graph(),
+                              sequential_schedule(g), greedy_schedule(g)}) {
+      EXPECT_EQ(ex.schedule_latency_us(q), ex.run_schedule(q).makespan_us)
+          << name;
+    }
+  }
+}
+
+TEST(CostModel, CanonicalKeyHashesTheExpandedStreams) {
+  // Canonical keys persist in profile databases, so reading the kernel
+  // table must hash exactly what hashing stage_streams() does.
+  auto streams_key = [](const CostModel& cost, const Stage& stage) {
+    std::uint64_t h = cost.environment_fingerprint();
+    for (const KernelStream& stream : cost.executor().stage_streams(stage)) {
+      h = hash_combine(h, 0x73ull);
+      for (const KernelDesc& k : stream) {
+        for (double v : {k.flops, k.bytes, k.warps, k.efficiency}) {
+          h = hash_combine(h, std::bit_cast<std::uint64_t>(v));
+        }
+      }
+    }
+    return h;
+  };
+  for (const char* name : {"inception_v3", "nasnet", "randwire"}) {
+    const Graph g = models::build_model(name, 1);
+    const CostModel cost(g, v100_config());
+    for (const Stage& stage : random_stages(g, 3, 200)) {
+      ASSERT_EQ(cost.canonical_stage_key(stage), streams_key(cost, stage))
+          << name;
+    }
+  }
+  // Pinned keys, as saved profile databases hold them: the expand convs of
+  // squeezenet's first fire module, run concurrently and merged.
+  const Graph g = models::build_model("squeezenet", 1);
+  const CostModel cost(g, v100_config());
+  const Stage concurrent{StageStrategy::kConcurrent, {Group{{4}}, Group{{5}}}};
+  const Stage merged{StageStrategy::kMerge, {Group{{4, 5}}}};
+  EXPECT_EQ(cost.canonical_stage_key(concurrent), 0x695c25a98f6e58ecull);
+  EXPECT_EQ(cost.canonical_stage_key(merged), 0xd298d590bc558167ull);
+}
+
 TEST(Executor, SequentialLatencyIsSumOfStages) {
   const Graph g = models::fig5_graph(1);
   Executor ex(g, v100_config());
@@ -195,7 +327,7 @@ TEST(Executor, RunScheduleTraceSpansAllStages) {
   Executor ex(g, v100_config());
   const Schedule q = greedy_schedule(g);
   const SimResult r = ex.run_schedule(q);
-  EXPECT_NEAR(r.makespan_us, ex.schedule_latency_us(q), 1e-6);
+  EXPECT_EQ(r.makespan_us, ex.schedule_latency_us(q));
   EXPECT_EQ(r.timeline.size(), static_cast<std::size_t>(q.num_ops()));
   EXPECT_FALSE(r.warp_trace.empty());
 }

@@ -253,6 +253,29 @@ TEST(DaemonTest, ServesPingInferStatsAndDrains) {
   EXPECT_EQ(final_stats.rejected, 0);
 }
 
+TEST(DaemonTest, StatsRightAfterAnAnswerCountsIt) {
+  // An answer is counted before it is written, so a stats verb the client
+  // sends the moment it has read an answer already sees it: no retry.
+  DaemonOptions options = test_daemon_options();
+  options.serving.batching.batch_sizes = {1};  // every request answers alone
+  Daemon daemon(options);
+  daemon.start();
+  Socket client = Socket::connect_to("127.0.0.1", daemon.port());
+  std::string line;
+  for (int i = 1; i <= 200; ++i) {
+    WireRequest request;
+    request.id = i;
+    request.model = "fig3";
+    client.write_all(format_request(request) + "\n");
+    ASSERT_TRUE(client.read_line(line));
+    ASSERT_TRUE(parse_response(line).ok);
+    client.write_all(R"({"id":0,"cmd":"stats"})" "\n");
+    ASSERT_TRUE(client.read_line(line));
+    ASSERT_EQ(JsonValue::parse(line).at("completed").as_int(), i);
+  }
+  daemon.stop();
+}
+
 TEST(DaemonTest, UnknownModelAndGarbageAreSingleRequestErrors) {
   Daemon daemon(test_daemon_options());
   daemon.start();

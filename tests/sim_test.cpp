@@ -4,6 +4,7 @@
 #include "sim/engine.hpp"
 #include "sim/kernel_model.hpp"
 #include "graph/graph.hpp"
+#include "util/rng.hpp"
 
 namespace ios {
 namespace {
@@ -124,6 +125,63 @@ TEST_F(EngineTest, ZeroWorkKernelCompletes) {
   const SimResult r = engine_.run({{kernel(0, 0, 1)}});
   EXPECT_EQ(r.timeline.size(), 1u);
   EXPECT_NEAR(r.makespan_us, engine_.device().kernel_launch_us, 1e-6);
+}
+
+// makespan_us() is run() without the traces: the same event loop, so every
+// makespan must agree bit for bit, through both of its stream forms.
+void expect_makespan_matches_run(const Engine& engine,
+                                 const std::vector<KernelStream>& streams) {
+  const double traced = engine.run(streams).makespan_us;
+  EXPECT_EQ(engine.makespan_us(streams), traced);
+  StreamRefs refs;
+  refs.assign(streams);
+  EXPECT_EQ(engine.makespan_us(refs), traced);
+}
+
+TEST_F(EngineTest, MakespanMatchesRunOnEdgeCases) {
+  const double slots = tesla_v100().total_warp_slots();
+  const KernelDesc zero = kernel(0, 0, 1);
+  const KernelDesc small = kernel(2e8, 1e5, 400, 0.8);
+  const KernelDesc wide = kernel(4e9, 4e8, 3 * slots, 0.8);  // > slots alone
+  const KernelDesc mem = kernel(0, 2e8, slots);
+  const std::vector<std::vector<KernelStream>> cases = {
+      {},
+      {{}, {}},
+      {{zero}},
+      {{zero, zero}, {zero}},
+      {{zero, small, zero}, {small}},
+      {{small}, {}, {zero}},
+      {{wide}},
+      {{wide, wide}},
+      {{wide}, {wide}, {mem}},  // demand several times the slots
+      {{mem, zero}, {mem}, {small, wide}},
+  };
+  for (const auto& streams : cases) {
+    expect_makespan_matches_run(engine_, streams);
+  }
+  EXPECT_EQ(engine_.kernel_latency_us(zero), engine_.run({{zero}}).makespan_us);
+  EXPECT_EQ(engine_.kernel_latency_us(wide), engine_.run({{wide}}).makespan_us);
+}
+
+TEST_F(EngineTest, MakespanMatchesRunOnRandomStreams) {
+  const double slots = tesla_v100().total_warp_slots();
+  Rng rng(14);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<KernelStream> streams(
+        static_cast<std::size_t>(1 + rng.uniform_int(6)));
+    for (KernelStream& stream : streams) {
+      const int len = rng.uniform_int(4);
+      for (int i = 0; i < len; ++i) {
+        // One kernel in eight does no work; warps range past the slots.
+        const bool idle = rng.uniform_int(8) == 0;
+        stream.push_back(kernel(idle ? 0 : rng.uniform() * 2e9,
+                                idle ? 0 : rng.uniform() * 5e7,
+                                1 + rng.uniform() * 2 * slots,
+                                0.2 + 0.8 * rng.uniform()));
+      }
+    }
+    expect_makespan_matches_run(engine_, streams);
+  }
 }
 
 TEST(DeviceSpec, Presets) {
